@@ -34,20 +34,18 @@
 //!   this series (it is machine-topology-dependent), it is recorded for
 //!   the perf trajectory only.
 //!
-//! GFLOP/s are derived from the GEMM layer's own work counters
-//! ([`koala_linalg::gemm::flop_counter`] for complex MACs, 8 real flops each,
-//! and [`koala_linalg::gemm::real_mac_counter`] for real MACs, 2 real flops
-//! each), not from a formula duplicated here — so the numbers stay honest if
-//! the kernel's dispatch or work accounting ever changes.
+//! GFLOP/s are derived from the work the GEMM layer bills to a
+//! [`WorkMeter`] scoped around each timed run (complex MACs at 8 real flops
+//! each, real MACs at 2), not from a formula duplicated here — so the
+//! numbers stay honest if the kernel's dispatch or work accounting ever
+//! changes.
 //!
 //! Usage: `cargo run --release -p koala-bench --bin bench_gemm [--quick]
 //! [--json <path>]`
 
-use koala_bench::json::JsonValue;
-use koala_linalg::gemm::{
-    flop_counter, gemm, matmul_seed, real_mac_counter, reset_flop_counter, Op,
-};
-use koala_linalg::Matrix;
+use koala_json::JsonValue;
+use koala_linalg::gemm::{gemm, matmul_seed, Op};
+use koala_linalg::{Matrix, WorkMeter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -103,12 +101,12 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> (f64, u64, u64) {
     let mut cmacs = 0;
     let mut rmacs = 0;
     for _ in 0..reps {
-        reset_flop_counter();
+        let meter = WorkMeter::new();
         let t = Instant::now();
-        f();
+        meter.scope(&mut f);
         let secs = t.elapsed().as_secs_f64();
-        cmacs = flop_counter();
-        rmacs = real_mac_counter();
+        cmacs = meter.complex_macs();
+        rmacs = meter.real_macs();
         if secs < best {
             best = secs;
         }
@@ -313,8 +311,7 @@ fn main() {
         };
         for &threads in &thread_counts {
             // `set_threads` swaps the global executor pool at runtime, so a
-            // single process can sweep thread counts (the old RAYON env-var
-            // dance is gone along with the rayon shim on this path).
+            // single process can sweep thread counts.
             koala_exec::set_threads(threads);
             let (packed_s, cmacs, rmacs) = time_best(reps, || {
                 std::hint::black_box(gemm(case.opa, case.opb, &a, &b));

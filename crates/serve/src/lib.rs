@@ -1,9 +1,9 @@
 //! # koala-serve
 //!
 //! Multi-tenant simulation service for the koala-rs stack: a typed job
-//! front door over the engine's workloads (ITE ground state, VQE energy,
-//! batched random-circuit amplitudes, and gate-list circuits through the
-//! `koala-circuit` front end).
+//! front door over three job kinds: ITE ground state, VQE energy, and
+//! gate-list circuits through the `koala-circuit` front end (which also
+//! serves the Figure 10 random-circuit amplitudes on its PEPS backend).
 //!
 //! Two entry points share all scheduling and billing machinery:
 //!
@@ -43,8 +43,8 @@ pub mod spec;
 
 pub use server::{JobOutcome, JobReceipt, JobStatus, Server, ServerConfig, Submission};
 pub use spec::{
-    AmplitudeJob, AmplitudeOutput, CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult,
-    JobSpec, Result, VqeJob, VqeOutput, MAX_CIRCUIT_GATES,
+    CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult, JobSpec, Result, VqeJob, VqeOutput,
+    MAX_CIRCUIT_GATES,
 };
 
 pub use koala_exec::{CancelToken, WorkLedger, WorkMeter};

@@ -2,15 +2,14 @@
 //! cancellation/timeout, and exact per-tenant work receipts.
 
 use crate::spec::{
-    AmplitudeJob, AmplitudeOutput, CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult,
-    JobSpec, Result, VqeJob, VqeOutput,
+    CircuitJob, CircuitOutput, IteJob, IteOutput, JobResult, JobSpec, Result, VqeJob, VqeOutput,
 };
 use koala_error::{ErrorKind, KoalaError};
 use koala_exec::{CancelToken, TaskGraph, TaskKind, WorkLedger, WorkMeter};
-use koala_peps::{amplitude, Peps, UpdateMethod};
+use koala_peps::Peps;
 use koala_sim::{
-    ite_checkpoint, ite_peps_from, random_circuit, run_vqe_cancellable, tfi_hamiltonian,
-    IteOptions, TfiParams, VqeOptions,
+    ite_checkpoint, ite_peps_from, run_vqe_cancellable, tfi_hamiltonian, IteOptions, TfiParams,
+    VqeOptions,
 };
 use koala_tensor::TensorError;
 use rand::rngs::StdRng;
@@ -59,7 +58,7 @@ pub struct JobReceipt {
     pub tenant: String,
     /// Server-assigned job id (unique per [`Server`]).
     pub job_id: u64,
-    /// Job kind tag (`"ite"` / `"vqe"` / `"amplitudes"`).
+    /// Job kind tag (`"ite"` / `"vqe"` / `"circuit"`).
     pub kind: &'static str,
     /// Workload signature the scheduler batched the job under.
     pub signature: String,
@@ -432,7 +431,6 @@ fn run_spec(spec: &JobSpec, cancel: &CancelToken) -> Result<JobResult> {
     match spec {
         JobSpec::Ite(job) => run_ite(job, cancel),
         JobSpec::Vqe(job) => run_vqe_job(job, cancel),
-        JobSpec::Amplitudes(job) => run_amplitudes(job, cancel),
         JobSpec::Circuit(job) => run_circuit(job, cancel),
     }
 }
@@ -500,32 +498,6 @@ fn run_vqe_job(job: &VqeJob, cancel: &CancelToken) -> Result<JobResult> {
         best_params: result.best_params,
         evaluations: result.evaluations,
     }))
-}
-
-/// Batched amplitudes: one circuit evolution, then one contraction per
-/// bitstring; the token is checked before the evolution and between
-/// contractions.
-fn run_amplitudes(job: &AmplitudeJob, cancel: &CancelToken) -> Result<JobResult> {
-    if cancel.is_cancelled() {
-        return Err(cancelled());
-    }
-    let mut circuit_rng = StdRng::seed_from_u64(job.circuit_seed);
-    let circuit =
-        random_circuit(job.nrows, job.ncols, job.layers, job.entangle_every, &mut circuit_rng);
-    let mut peps = Peps::computational_zeros(job.nrows, job.ncols);
-    circuit
-        .apply_to_peps(&mut peps, UpdateMethod::qr_svd(job.evolution_bond))
-        .map_err(engine_err)?;
-
-    let mut rng = StdRng::seed_from_u64(job.seed);
-    let mut amplitudes = Vec::with_capacity(job.bitstrings.len());
-    for bits in &job.bitstrings {
-        if cancel.is_cancelled() {
-            return Err(cancelled());
-        }
-        amplitudes.push(amplitude(&peps, bits, job.method, &mut rng).map_err(engine_err)?);
-    }
-    Ok(JobResult::Amplitudes(AmplitudeOutput { amplitudes, max_bond: peps.max_bond() }))
 }
 
 /// A gate-list circuit through the front-end dispatcher. The heavy lifting

@@ -7,19 +7,17 @@
 //!
 //! * [`IteJob`] — imaginary-time-evolution ground-state search (Figure 13),
 //! * [`VqeJob`] — variational ground-state energy (Figure 14),
-//! * [`AmplitudeJob`] — batched random-circuit output amplitudes (Figure 10),
-//! * [`CircuitJob`] — an arbitrary gate-list circuit through the
-//!   `koala-circuit` front end (simplify, light-cone, backend dispatch),
-//!   answering a batch of bitstring amplitude queries.
+//! * [`CircuitJob`] — a gate-list circuit through the `koala-circuit` front
+//!   end (simplify, light-cone, backend dispatch), answering a batch of
+//!   bitstring amplitude queries; the Figure 10 random-circuit amplitudes
+//!   are a circuit job on the PEPS backend.
 //!
 //! Every spec has a [`signature`](JobSpec::signature): a string key over the
 //! *shape-determining* fields (lattice, bonds, layers, step counts — but not
 //! value-level inputs like couplings or value seeds). Jobs sharing a
 //! signature execute the same einsum specs on the same tensor shapes, so the
 //! scheduler runs them leader-first and the followers hit warm plan-cache
-//! stripes (see [`crate::Server::drain`]). The amplitude signature *does*
-//! include the circuit seed, because the random circuit's gate placement
-//! determines the evolved bond dimensions and hence the contraction shapes.
+//! stripes (see [`crate::Server::drain`]).
 
 use koala_circuit::{Backend, BackendChoice, Circuit, Gate, Gate1, Gate2};
 use koala_error::{ErrorKind, KoalaError};
@@ -197,99 +195,6 @@ impl VqeJob {
     }
 }
 
-/// Batched random-quantum-circuit amplitude job: evolve `|0...0>` under a
-/// seeded random circuit, then contract one amplitude per requested
-/// bitstring.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmplitudeJob {
-    /// Lattice rows.
-    pub nrows: usize,
-    /// Lattice columns.
-    pub ncols: usize,
-    /// Circuit layers.
-    pub layers: usize,
-    /// Entangling-layer period of the random circuit.
-    pub entangle_every: usize,
-    /// Seed selecting the random circuit (part of the signature: it fixes
-    /// the gate placement and hence the evolved tensor shapes).
-    pub circuit_seed: u64,
-    /// Bond-dimension cap for the circuit evolution.
-    pub evolution_bond: usize,
-    /// Contraction method for the amplitudes.
-    pub method: ContractionMethod,
-    /// Bitstrings (row-major, one bit per site) to compute amplitudes for.
-    pub bitstrings: Vec<Vec<usize>>,
-    /// Seed of the contraction RNG stream (IBMPS sketches).
-    pub seed: u64,
-}
-
-impl AmplitudeJob {
-    /// A laptop-friendly default mirroring the `rqc_amplitude` example: a
-    /// 3x3-suitable 8-layer circuit with an entangling layer every 4,
-    /// evolved exactly, asking for the all-zeros amplitude.
-    pub fn new(nrows: usize, ncols: usize, method: ContractionMethod) -> AmplitudeJob {
-        AmplitudeJob {
-            nrows,
-            ncols,
-            layers: 8,
-            entangle_every: 4,
-            circuit_seed: 21,
-            evolution_bond: 1 << 16,
-            method,
-            bitstrings: vec![vec![0; nrows * ncols]],
-            seed: 21,
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        validate_lattice(self.nrows, self.ncols)?;
-        if self.layers == 0 || self.entangle_every == 0 {
-            return Err(invalid("amplitudes: layers and entangle_every must be >= 1"));
-        }
-        if self.evolution_bond == 0 {
-            return Err(invalid("amplitudes: evolution_bond must be >= 1"));
-        }
-        match self.method {
-            ContractionMethod::Exact => {}
-            ContractionMethod::Bmps { max_bond } | ContractionMethod::Ibmps { max_bond, .. } => {
-                if max_bond == 0 {
-                    return Err(invalid("amplitudes: contraction max_bond must be >= 1"));
-                }
-            }
-        }
-        if self.bitstrings.is_empty() {
-            return Err(invalid("amplitudes: at least one bitstring is required"));
-        }
-        let n = self.nrows * self.ncols;
-        for (i, bits) in self.bitstrings.iter().enumerate() {
-            if bits.len() != n {
-                return Err(invalid(format!(
-                    "amplitudes: bitstring {i} has {} bits, lattice has {n} sites",
-                    bits.len()
-                )));
-            }
-            if bits.iter().any(|&b| b > 1) {
-                return Err(invalid(format!("amplitudes: bitstring {i} has a bit outside 0/1")));
-            }
-        }
-        Ok(())
-    }
-
-    fn signature(&self) -> String {
-        format!(
-            "amp/{}x{}/l{}/e{}/cs{}/r{}/{:?}/n{}",
-            self.nrows,
-            self.ncols,
-            self.layers,
-            self.entangle_every,
-            self.circuit_seed,
-            self.evolution_bond,
-            self.method,
-            self.bitstrings.len()
-        )
-    }
-}
-
 /// Largest gate list a [`CircuitJob`] may carry.
 pub const MAX_CIRCUIT_GATES: usize = 4096;
 
@@ -358,6 +263,12 @@ impl CircuitJob {
             BackendChoice::Fixed(Backend::Peps { evolution_bond: 0, .. }) => {
                 Err(invalid("circuit: PEPS evolution_bond must be >= 1"))
             }
+            BackendChoice::Fixed(Backend::Peps {
+                method:
+                    ContractionMethod::Bmps { max_bond: 0 }
+                    | ContractionMethod::Ibmps { max_bond: 0, .. },
+                ..
+            }) => Err(invalid("circuit: PEPS contraction max_bond must be >= 1")),
             _ => Ok(()),
         }
     }
@@ -396,8 +307,6 @@ pub enum JobSpec {
     Ite(IteJob),
     /// Variational ground-state energy.
     Vqe(VqeJob),
-    /// Batched circuit amplitudes.
-    Amplitudes(AmplitudeJob),
     /// Gate-list circuit through the `koala-circuit` front end.
     Circuit(CircuitJob),
 }
@@ -406,11 +315,22 @@ impl JobSpec {
     /// Check every field for structural validity. [`crate::Server::submit`]
     /// rejects invalid specs with [`ErrorKind::InvalidArgument`] before they
     /// reach the queue.
+    ///
+    /// Seeds must lie below 2^53, the integers the `f64` wire form carries
+    /// exactly, so every accepted spec round-trips through
+    /// [`JobSpec::to_json`] and [`JobSpec::from_json`] unchanged.
     pub fn validate(&self) -> Result<()> {
+        let seed = match self {
+            JobSpec::Ite(j) => j.seed,
+            JobSpec::Vqe(j) => j.seed,
+            JobSpec::Circuit(j) => j.seed,
+        };
+        if seed >= WIRE_INT_LIMIT {
+            return Err(invalid(format!("seed {seed} is not below 2^53")));
+        }
         match self {
             JobSpec::Ite(j) => j.validate(),
             JobSpec::Vqe(j) => j.validate(),
-            JobSpec::Amplitudes(j) => j.validate(),
             JobSpec::Circuit(j) => j.validate(),
         }
     }
@@ -422,17 +342,15 @@ impl JobSpec {
         match self {
             JobSpec::Ite(j) => j.signature(),
             JobSpec::Vqe(j) => j.signature(),
-            JobSpec::Amplitudes(j) => j.signature(),
             JobSpec::Circuit(j) => j.signature(),
         }
     }
 
-    /// Short kind tag (`"ite"` / `"vqe"` / `"amplitudes"` / `"circuit"`).
+    /// Short kind tag (`"ite"` / `"vqe"` / `"circuit"`).
     pub fn kind(&self) -> &'static str {
         match self {
             JobSpec::Ite(_) => "ite",
             JobSpec::Vqe(_) => "vqe",
-            JobSpec::Amplitudes(_) => "amplitudes",
             JobSpec::Circuit(_) => "circuit",
         }
     }
@@ -490,18 +408,6 @@ impl JobSpec {
                     ("seed", JsonValue::num(j.seed as f64)),
                 ])
             }
-            JobSpec::Amplitudes(j) => JsonValue::object([
-                ("type", JsonValue::str("amplitudes")),
-                ("nrows", JsonValue::num(j.nrows as f64)),
-                ("ncols", JsonValue::num(j.ncols as f64)),
-                ("layers", JsonValue::num(j.layers as f64)),
-                ("entangle_every", JsonValue::num(j.entangle_every as f64)),
-                ("circuit_seed", JsonValue::num(j.circuit_seed as f64)),
-                ("evolution_bond", JsonValue::num(j.evolution_bond as f64)),
-                ("method", method_to_json(j.method)),
-                ("bitstrings", bitstrings_to_json(&j.bitstrings)),
-                ("seed", JsonValue::num(j.seed as f64)),
-            ]),
             JobSpec::Circuit(j) => {
                 let backend = match j.backend {
                     BackendChoice::Auto => JsonValue::object([("type", JsonValue::str("auto"))]),
@@ -543,8 +449,9 @@ impl JobSpec {
     /// Parse the wire form produced by [`JobSpec::to_json`]. The parsed spec
     /// is validated before being returned.
     ///
-    /// Integer fields travel as JSON numbers (`f64`); seeds and counters are
-    /// exact up to 2^53, far beyond any spec this service accepts.
+    /// Integer fields travel as JSON numbers (`f64`), which hold integers
+    /// exactly only below 2^53; larger or non-integral values are rejected
+    /// rather than rounded, and every bit must be exactly 0 or 1.
     pub fn from_json(v: &JsonValue) -> Result<JobSpec> {
         let kind = req_str(v, "type")?;
         let spec = match kind {
@@ -593,21 +500,6 @@ impl JobSpec {
                     layers: opt_usize(v, "layers", 1)?,
                     backend,
                     optimizer,
-                    seed: opt_u64(v, "seed", 0)?,
-                })
-            }
-            "amplitudes" => {
-                let method_v =
-                    v.get("method").ok_or_else(|| invalid("amplitudes: missing field 'method'"))?;
-                JobSpec::Amplitudes(AmplitudeJob {
-                    nrows: req_usize(v, "nrows")?,
-                    ncols: req_usize(v, "ncols")?,
-                    layers: opt_usize(v, "layers", 8)?,
-                    entangle_every: opt_usize(v, "entangle_every", 4)?,
-                    circuit_seed: opt_u64(v, "circuit_seed", 0)?,
-                    evolution_bond: opt_usize(v, "evolution_bond", 1 << 16)?,
-                    method: method_from_json(method_v)?,
-                    bitstrings: bitstrings_from_json(v)?,
                     seed: opt_u64(v, "seed", 0)?,
                 })
             }
@@ -679,15 +571,22 @@ fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str> {
         .ok_or_else(|| invalid(format!("missing string field '{key}'")))
 }
 
+/// 2^53: the wire's `f64` numbers represent every integer below it exactly.
+const WIRE_INT_LIMIT: u64 = 1 << 53;
+
+/// `x` as an integer when it is one in `0..2^53`, else `None`.
+fn wire_int(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0 && x < WIRE_INT_LIMIT as f64).then_some(x as u64)
+}
+
 fn req_usize(v: &JsonValue, key: &str) -> Result<usize> {
     let x = v
         .get(key)
         .and_then(JsonValue::as_num)
         .ok_or_else(|| invalid(format!("missing numeric field '{key}'")))?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(invalid(format!("field '{key}' must be a non-negative integer, got {x}")));
-    }
-    Ok(x as usize)
+    wire_int(x)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| invalid(format!("field '{key}' must be an integer in 0..2^53, got {x}")))
 }
 
 fn opt_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize> {
@@ -765,10 +664,10 @@ fn bitstrings_from_json(v: &JsonValue) -> Result<Vec<Vec<usize>>> {
         let arr = bits.as_array().ok_or_else(|| invalid(format!("bitstring {i} not an array")))?;
         let mut parsed = Vec::with_capacity(arr.len());
         for b in arr {
-            let x = b
-                .as_num()
-                .ok_or_else(|| invalid(format!("bitstring {i} has a non-numeric bit")))?;
-            parsed.push(x as usize);
+            match b.as_num() {
+                Some(x) if x == 0.0 || x == 1.0 => parsed.push(x as usize),
+                _ => return Err(invalid(format!("bitstring {i} has a bit other than 0 or 1"))),
+            }
         }
         bitstrings.push(parsed);
     }
@@ -897,15 +796,6 @@ pub struct VqeOutput {
     pub evaluations: usize,
 }
 
-/// Output of a completed [`AmplitudeJob`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AmplitudeOutput {
-    /// One amplitude per requested bitstring, in request order.
-    pub amplitudes: Vec<C64>,
-    /// Maximum bond dimension of the evolved PEPS.
-    pub max_bond: usize,
-}
-
 /// Output of a completed [`CircuitJob`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitOutput {
@@ -928,8 +818,6 @@ pub enum JobResult {
     Ite(IteOutput),
     /// Result of a [`VqeJob`].
     Vqe(VqeOutput),
-    /// Result of an [`AmplitudeJob`].
-    Amplitudes(AmplitudeOutput),
     /// Result of a [`CircuitJob`].
     Circuit(CircuitOutput),
 }
@@ -966,21 +854,6 @@ impl JobResult {
                     JsonValue::Array(o.best_params.iter().map(|&p| JsonValue::num(p)).collect()),
                 ),
                 ("evaluations", JsonValue::num(o.evaluations as f64)),
-            ]),
-            JobResult::Amplitudes(o) => JsonValue::object([
-                ("type", JsonValue::str("amplitudes")),
-                (
-                    "amplitudes",
-                    JsonValue::Array(
-                        o.amplitudes
-                            .iter()
-                            .map(|a| {
-                                JsonValue::Array(vec![JsonValue::num(a.re), JsonValue::num(a.im)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("max_bond", JsonValue::num(o.max_bond as f64)),
             ]),
             JobResult::Circuit(o) => JsonValue::object([
                 ("type", JsonValue::str("circuit")),
@@ -1026,18 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn amplitude_signature_includes_the_circuit_seed() {
-        let a = AmplitudeJob::new(3, 3, ContractionMethod::bmps(8));
-        let mut b = a.clone();
-        b.circuit_seed ^= 1;
-        assert_ne!(
-            JobSpec::Amplitudes(a).signature(),
-            JobSpec::Amplitudes(b).signature(),
-            "the circuit seed fixes gate placement and hence shapes"
-        );
-    }
-
-    #[test]
     fn validation_rejects_structural_nonsense() {
         let mut j = IteJob::new(3, 3, 2);
         j.steps = 0;
@@ -1045,9 +906,6 @@ mod tests {
         let mut j = IteJob::new(9, 9, 2);
         j.nrows = 100;
         assert!(JobSpec::Ite(j).validate().is_err());
-        let mut a = AmplitudeJob::new(2, 2, ContractionMethod::Exact);
-        a.bitstrings = vec![vec![0, 1, 2, 0]];
-        assert!(JobSpec::Amplitudes(a).validate().is_err());
         let mut v = VqeJob::new(2, 2, VqeBackend::StateVector);
         v.optimizer = Optimizer::NelderMead { scale: 0.4, max_iterations: 0 };
         assert!(JobSpec::Vqe(v).validate().is_err());
@@ -1061,10 +919,13 @@ mod tests {
                 optimizer: Optimizer::Spsa { a0: 0.3, c0: 0.2, iterations: 50 },
                 ..VqeJob::new(2, 3, VqeBackend::Peps { bond: 2, contraction_bond: 4 })
             }),
-            JobSpec::Amplitudes(AmplitudeJob {
-                bitstrings: vec![vec![0, 1, 0, 1], vec![1, 1, 0, 0]],
-                method: ContractionMethod::ibmps(16),
-                ..AmplitudeJob::new(2, 2, ContractionMethod::Exact)
+            JobSpec::Circuit(CircuitJob {
+                backend: BackendChoice::Fixed(Backend::Peps {
+                    evolution_bond: 4,
+                    method: ContractionMethod::ibmps(16),
+                }),
+                seed: WIRE_INT_LIMIT - 1,
+                ..CircuitJob::new(wire_test_circuit(), vec![vec![0, 1, 0, 1], vec![1, 1, 0, 0]])
             }),
         ];
         for spec in specs {
@@ -1072,6 +933,69 @@ mod tests {
             let parsed = JsonValue::parse(&text).expect("emitted JSON must parse");
             assert_eq!(JobSpec::from_json(&parsed).expect("roundtrip"), spec);
         }
+    }
+
+    /// The error kind `from_json` returns for the wire text `text`.
+    fn wire_error(text: &str) -> ErrorKind {
+        let v = JsonValue::parse(text).expect("test JSON parses");
+        JobSpec::from_json(&v).expect_err("spec must be rejected").kind()
+    }
+
+    const ITE_FIELDS: &str = r#""type": "ite", "nrows": 2, "ncols": 2, "evolution_bond": 1,
+        "contraction_bond": 2"#;
+
+    #[test]
+    fn required_integers_at_or_above_2_pow_53_are_rejected() {
+        let ok = JsonValue::parse(&format!("{{{ITE_FIELDS}, \"steps\": 4}}")).unwrap();
+        assert!(JobSpec::from_json(&ok).is_ok());
+        let kind = wire_error(&format!("{{{ITE_FIELDS}, \"steps\": 9007199254740992}}"));
+        assert_eq!(kind, ErrorKind::InvalidArgument);
+    }
+
+    #[test]
+    fn optional_seed_too_large_to_be_exact_is_rejected_not_saturated() {
+        let kind = wire_error(&format!("{{{ITE_FIELDS}, \"steps\": 4, \"seed\": 1e300}}"));
+        assert_eq!(kind, ErrorKind::InvalidArgument);
+    }
+
+    #[test]
+    fn fractional_bits_are_rejected() {
+        let kind = wire_error(
+            r#"{"type": "circuit", "num_qubits": 2, "gates": [], "bitstrings": [[0, 0.7]]}"#,
+        );
+        assert_eq!(kind, ErrorKind::InvalidArgument);
+    }
+
+    #[test]
+    fn negative_bits_are_rejected() {
+        let kind = wire_error(
+            r#"{"type": "circuit", "num_qubits": 2, "gates": [], "bitstrings": [[-1, 0]]}"#,
+        );
+        assert_eq!(kind, ErrorKind::InvalidArgument);
+    }
+
+    #[test]
+    fn validate_rejects_seeds_the_wire_cannot_carry_exactly() {
+        let circuit = CircuitJob::new(wire_test_circuit(), vec![vec![0; 4]]);
+        let vqe = VqeJob::new(2, 2, VqeBackend::StateVector);
+        for seed in [WIRE_INT_LIMIT, u64::MAX] {
+            for spec in [
+                JobSpec::Ite(IteJob { seed, ..IteJob::new(2, 2, 1) }),
+                JobSpec::Vqe(VqeJob { seed, ..vqe.clone() }),
+                JobSpec::Circuit(CircuitJob { seed, ..circuit.clone() }),
+            ] {
+                assert_eq!(spec.validate().unwrap_err().kind(), ErrorKind::InvalidArgument);
+            }
+        }
+    }
+
+    #[test]
+    fn the_retired_amplitudes_kind_is_an_unknown_job_type() {
+        let kind = wire_error(
+            r#"{"type": "amplitudes", "nrows": 2, "ncols": 2, "method": {"type": "exact"},
+                "bitstrings": [[0, 0, 0, 0]]}"#,
+        );
+        assert_eq!(kind, ErrorKind::InvalidArgument);
     }
 
     #[test]
@@ -1189,6 +1113,12 @@ mod tests {
         // Degenerate bond caps.
         let mut j = CircuitJob::new(wire_test_circuit(), vec![vec![0; 4]]);
         j.backend = BackendChoice::Fixed(Backend::Mps { max_bond: 0 });
+        assert!(JobSpec::Circuit(j).validate().is_err());
+        let mut j = CircuitJob::new(wire_test_circuit(), vec![vec![0; 4]]);
+        j.backend = BackendChoice::Fixed(Backend::Peps {
+            evolution_bond: 4,
+            method: ContractionMethod::ibmps(0),
+        });
         assert!(JobSpec::Circuit(j).validate().is_err());
     }
 }

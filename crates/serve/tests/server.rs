@@ -6,12 +6,15 @@
 //! concurrently with each other (the global-delta billing story is pinned by
 //! the workspace-root `serve_acceptance` test).
 
+use koala_circuit::{Backend, BackendChoice, Circuit};
 use koala_error::ErrorKind;
 use koala_peps::{ContractionMethod, Peps};
 use koala_serve::{
-    AmplitudeJob, IteJob, JobResult, JobSpec, JobStatus, Server, ServerConfig, VqeJob,
+    CircuitJob, IteJob, JobResult, JobSpec, JobStatus, Server, ServerConfig, VqeJob,
 };
-use koala_sim::{ite_peps, run_vqe, tfi_hamiltonian, IteOptions, TfiParams, VqeBackend};
+use koala_sim::{
+    ite_peps, random_circuit, run_vqe, tfi_hamiltonian, IteOptions, TfiParams, VqeBackend,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -26,12 +29,20 @@ fn small_vqe() -> VqeJob {
     job
 }
 
-fn small_amp() -> AmplitudeJob {
-    AmplitudeJob {
-        layers: 2,
-        entangle_every: 2,
-        bitstrings: vec![vec![0, 0, 0, 0], vec![0, 1, 1, 0]],
-        ..AmplitudeJob::new(2, 2, ContractionMethod::bmps(8))
+/// A 2x2 random circuit (seed 21, 2 layers, entangling every 2) on the
+/// PEPS backend: the Figure 10 amplitude workload as a circuit job.
+fn small_rqc() -> CircuitJob {
+    let rqc = random_circuit(2, 2, 2, 2, &mut StdRng::seed_from_u64(21));
+    CircuitJob {
+        backend: BackendChoice::Fixed(Backend::Peps {
+            evolution_bond: 1 << 16,
+            method: ContractionMethod::bmps(8),
+        }),
+        seed: 21,
+        ..CircuitJob::new(
+            Circuit::from_lattice_circuit(&rqc, 2, 2).unwrap(),
+            vec![vec![0, 0, 0, 0], vec![0, 1, 1, 0]],
+        )
     }
 }
 
@@ -122,41 +133,30 @@ fn pre_drain_cancellation_yields_a_zero_work_cancelled_receipt() {
 #[test]
 fn zero_timeout_reports_timed_out_deterministically() {
     let mut server = Server::new(ServerConfig::default());
-    server
-        .submit_with_timeout("t", JobSpec::Amplitudes(small_amp()), Some(Duration::ZERO))
-        .unwrap();
+    server.submit_with_timeout("t", JobSpec::Circuit(small_rqc()), Some(Duration::ZERO)).unwrap();
     let outcomes = server.drain();
     assert_eq!(outcomes[0].receipt.status, JobStatus::TimedOut);
     assert!(outcomes[0].receipt.work.is_zero());
 }
 
 #[test]
-fn batched_amplitudes_match_the_direct_engine_path_bit_for_bit() {
-    let job = small_amp();
-    // Reference: the same evolution + contractions hand-wired on the engine.
-    let mut circuit_rng = StdRng::seed_from_u64(job.circuit_seed);
-    let circuit = koala_sim::random_circuit(
-        job.nrows,
-        job.ncols,
-        job.layers,
-        job.entangle_every,
-        &mut circuit_rng,
-    );
-    let mut peps = Peps::computational_zeros(job.nrows, job.ncols);
-    circuit.apply_to_peps(&mut peps, koala_peps::UpdateMethod::qr_svd(job.evolution_bond)).unwrap();
-    let mut rng = StdRng::seed_from_u64(job.seed);
-    let reference: Vec<_> = job
-        .bitstrings
-        .iter()
-        .map(|bits| koala_peps::amplitude(&peps, bits, job.method, &mut rng).unwrap())
-        .collect();
+fn served_peps_circuit_matches_the_direct_front_end_call_bit_for_bit() {
+    let job = small_rqc();
+    let reference = koala_circuit::amplitudes(
+        &job.circuit,
+        &job.bitstrings,
+        job.backend,
+        &mut StdRng::seed_from_u64(job.seed),
+    )
+    .unwrap();
 
     let mut server = Server::new(ServerConfig::default());
-    let outcome = server.run_one("tenant", JobSpec::Amplitudes(job)).unwrap();
+    let outcome = server.run_one("tenant", JobSpec::Circuit(job)).unwrap();
     assert_eq!(outcome.receipt.status, JobStatus::Ok);
-    let JobResult::Amplitudes(out) = outcome.result.unwrap() else { panic!("wrong result kind") };
-    assert_eq!(out.amplitudes.len(), reference.len());
-    for (served, wanted) in out.amplitudes.iter().zip(&reference) {
+    let JobResult::Circuit(out) = outcome.result.unwrap() else { panic!("wrong result kind") };
+    assert_eq!(out.backend, "peps");
+    assert_eq!(out.amplitudes.len(), reference.amplitudes.len());
+    for (served, wanted) in out.amplitudes.iter().zip(&reference.amplitudes) {
         assert_eq!(served.re.to_bits(), wanted.re.to_bits());
         assert_eq!(served.im.to_bits(), wanted.im.to_bits());
     }
@@ -193,12 +193,12 @@ fn same_signature_jobs_batch_and_differ_only_by_value_inputs() {
 fn receipts_carry_tenant_kind_and_ids_in_submission_order() {
     let mut server = Server::new(ServerConfig::default());
     let a = server.submit("alice", JobSpec::Vqe(small_vqe())).unwrap();
-    let b = server.submit("bob", JobSpec::Amplitudes(small_amp())).unwrap();
+    let b = server.submit("bob", JobSpec::Circuit(small_rqc())).unwrap();
     let outcomes = server.drain();
     assert_eq!(outcomes[0].receipt.job_id, a.job_id);
     assert_eq!(outcomes[0].receipt.tenant, "alice");
     assert_eq!(outcomes[0].receipt.kind, "vqe");
     assert_eq!(outcomes[1].receipt.job_id, b.job_id);
     assert_eq!(outcomes[1].receipt.tenant, "bob");
-    assert_eq!(outcomes[1].receipt.kind, "amplitudes");
+    assert_eq!(outcomes[1].receipt.kind, "circuit");
 }

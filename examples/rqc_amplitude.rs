@@ -6,14 +6,15 @@
 //! dispatched with [`BackendChoice::Auto`]: at nine qubits the dispatcher
 //! picks the exact statevector oracle, which doubles as the reference for
 //! the bond sweep. The sweep itself computes the same amplitude with BMPS
-//! and IBMPS at increasing contraction bond dimensions, showing the sharp
-//! error drop once the bond dimension crosses the entanglement threshold.
+//! and IBMPS at increasing contraction bond dimensions — circuit jobs
+//! pinned to the PEPS backend — showing the sharp error drop once the bond
+//! dimension crosses the entanglement threshold.
 //!
 //! Run with: `cargo run --release --example rqc_amplitude`
 
-use koala::circuit::Circuit;
+use koala::circuit::{Backend, BackendChoice, Circuit};
 use koala::peps::ContractionMethod;
-use koala::serve::{AmplitudeJob, CircuitJob, JobResult, JobSpec, Server, ServerConfig};
+use koala::serve::{CircuitJob, JobResult, JobSpec, Server, ServerConfig};
 use koala::sim::random_circuit;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +30,7 @@ fn main() {
     let bits = vec![0usize; n * n];
     let mut server = Server::new(ServerConfig::default());
     server
-        .submit("figure10", JobSpec::Circuit(CircuitJob::new(circuit, vec![bits])))
+        .submit("figure10", JobSpec::Circuit(CircuitJob::new(circuit.clone(), vec![bits.clone()])))
         .expect("submit");
     let outcome = server.drain().pop().expect("one outcome");
     let Some(JobResult::Circuit(front)) = outcome.result else {
@@ -51,16 +52,22 @@ fn main() {
     );
     println!("exact amplitude <0...0|C|0...0> = {exact}");
 
-    // --- The Figure 10 bond sweep: each (method, bond) point is a typed
-    // AmplitudeJob sharing the same circuit seed, so every job contracts
-    // the same exactly-evolved state. ---
+    // --- The Figure 10 bond sweep: each (method, bond) point is the same
+    // circuit job pinned to the PEPS backend with an uncapped evolution
+    // bond, so every job contracts the same exactly-evolved state. Two
+    // queries per job turn light-cone pruning off, so the whole circuit's
+    // entanglement reaches the contraction. ---
+    let queries = vec![bits, vec![1; n * n]];
     let bonds = [2usize, 8, 32];
     let mut server = Server::new(ServerConfig::default());
     for m in bonds {
         for method in [ContractionMethod::bmps(m), ContractionMethod::ibmps(m)] {
-            server
-                .submit("figure10", JobSpec::Amplitudes(AmplitudeJob::new(n, n, method)))
-                .expect("submit");
+            let job = CircuitJob {
+                backend: BackendChoice::Fixed(Backend::Peps { evolution_bond: 1 << 16, method }),
+                seed: 21,
+                ..CircuitJob::new(circuit.clone(), queries.clone())
+            };
+            server.submit("figure10", JobSpec::Circuit(job)).expect("submit");
         }
     }
     let outcomes = server.drain();
@@ -68,8 +75,8 @@ fn main() {
     println!("\n{:>6} | {:>12} | {:>12}", "m", "BMPS error", "IBMPS error");
     for (i, m) in bonds.iter().enumerate() {
         let error = |outcome: &koala::serve::JobOutcome| {
-            let Some(JobResult::Amplitudes(out)) = &outcome.result else {
-                panic!("amplitude job failed: {:?}", outcome.error)
+            let Some(JobResult::Circuit(out)) = &outcome.result else {
+                panic!("circuit job failed: {:?}", outcome.error)
             };
             (out.amplitudes[0] - exact).abs() / exact.abs()
         };

@@ -6,22 +6,21 @@
 //! change *when* work runs, never what it computes or what it bills.
 
 use koala::cluster::{Cluster, DistMatrix, ProcGrid};
-use koala::linalg::{flop_counter, matmul, real_mac_counter, Matrix};
+use koala::linalg::{matmul, Matrix, WorkMeter};
 use koala::peps::Peps;
 use koala::sim::{ite_peps, tfi_hamiltonian, IteOptions, TfiParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
 
-/// The executor pool and billing counters are process-wide; serialize the
-/// tests in this binary.
+/// The executor pool is process-wide; serialize the tests in this binary.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// The ITE sweep drives einsum planning, the packed GEMM, QR/SVD truncation
 /// and expectation contraction — end to end, the final energy and the exact
-/// counter deltas must not depend on the thread count.
+/// scoped MAC counts must not depend on the thread count.
 #[test]
 fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
     let _guard = SERIAL.lock().unwrap();
@@ -39,9 +38,9 @@ fn warm_tfi_ite_sweep_is_bit_identical_across_threads() {
     for &threads in &THREAD_SWEEP {
         koala::exec::set_threads(threads);
         let mut rng = StdRng::seed_from_u64(321);
-        let (f0, r0) = (flop_counter(), real_mac_counter());
-        let result = ite_peps(&peps, &h, opts, &mut rng).unwrap();
-        let (df, dr) = (flop_counter() - f0, real_mac_counter() - r0);
+        let meter = WorkMeter::new();
+        let result = meter.scope(|| ite_peps(&peps, &h, opts, &mut rng)).unwrap();
+        let (df, dr) = (meter.complex_macs(), meter.real_macs());
         let bits = result.final_energy().to_bits();
         match reference {
             None => reference = Some((bits, df, dr)),

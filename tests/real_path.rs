@@ -6,11 +6,10 @@
 //! factorization in between (the point of the realness-preserving QR / SVD /
 //! eigh / rsvd paths in `koala-linalg`).
 //!
-//! The assertions read the global GEMM work counters, so everything
-//! counter-sensitive lives in ONE `#[test]` (tests within a binary run in
-//! parallel) and this file holds nothing else that multiplies matrices.
+//! Each sweep runs inside its own `WorkMeter` scope, so the counts cover
+//! exactly that sweep's work, whatever other tests run concurrently.
 
-use koala::linalg::gemm::{flop_counter, real_mac_counter, reset_flop_counter};
+use koala::linalg::WorkMeter;
 use koala::peps::Peps;
 use koala::sim::hamiltonian::{tfi_hamiltonian, TfiParams};
 use koala::sim::{ite_peps, IteOptions, UpdateKind};
@@ -26,10 +25,10 @@ fn tfi_ite_sweep_performs_zero_complex_macs() {
     for update in [UpdateKind::QrSvd, UpdateKind::Direct, UpdateKind::GramQrSvd] {
         let mut options = IteOptions::new(0.05, 4, 2, 4);
         options.update = update;
-        reset_flop_counter();
-        let result = ite_peps(&peps, &h, options, &mut rng).expect("ITE run failed");
-        let complex = flop_counter();
-        let real = real_mac_counter();
+        let meter = WorkMeter::new();
+        let result =
+            meter.scope(|| ite_peps(&peps, &h, options, &mut rng)).expect("ITE run failed");
+        let (complex, real) = (meter.complex_macs(), meter.real_macs());
         assert_eq!(
             complex, 0,
             "{update:?}: a full TFI ITE sweep executed {complex} complex MACs — \
@@ -44,5 +43,4 @@ fn tfi_ite_sweep_performs_zero_complex_macs() {
             result.final_energy()
         );
     }
-    reset_flop_counter();
 }

@@ -1,5 +1,4 @@
-//! End-to-end acceptance test for the serving layer (ISSUE PR 9; circuit
-//! jobs added in PR 10).
+//! End-to-end acceptance test for the serving layer.
 //!
 //! Ten concurrent jobs across four tenants must (a) return bit-identical
 //! results to solo runs, (b) produce per-tenant receipts whose work ledgers
@@ -14,12 +13,13 @@
 use koala::circuit::{Backend, BackendChoice, Circuit, Gate1, Gate2};
 use koala::exec::WorkMeter;
 use koala::serve::{
-    AmplitudeJob, CircuitJob, IteJob, JobResult, JobSpec, JobStatus, Server, ServerConfig, VqeJob,
-    WorkLedger,
+    CircuitJob, IteJob, JobResult, JobSpec, JobStatus, Server, ServerConfig, VqeJob, WorkLedger,
 };
-use koala::sim::{Optimizer, VqeBackend};
+use koala::sim::{random_circuit, Optimizer, VqeBackend};
 use koala::tensor::{plan_stats, reset_plan_stats};
 use koala_peps::ContractionMethod;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn ite_a(jz: f64) -> JobSpec {
     JobSpec::Ite(IteJob { jz, steps: 6, measure_every: 2, seed: 3, ..IteJob::new(2, 2, 2) })
@@ -36,13 +36,19 @@ fn vqe(backend: VqeBackend, seed: u64) -> JobSpec {
     JobSpec::Vqe(job)
 }
 
-fn amp(method: ContractionMethod, seed: u64) -> JobSpec {
-    JobSpec::Amplitudes(AmplitudeJob {
-        layers: 2,
-        entangle_every: 2,
-        bitstrings: vec![vec![0, 0, 0, 0], vec![0, 1, 1, 0]],
+/// The Figure 10 workload as a circuit job: a 2x2 random circuit (seed 21,
+/// 2 layers, entangling every 2) evolved exactly on the PEPS backend and
+/// contracted with `method`. Jobs differing only in `seed` share a
+/// signature.
+fn rqc(method: ContractionMethod, seed: u64) -> JobSpec {
+    let lattice = random_circuit(2, 2, 2, 2, &mut StdRng::seed_from_u64(21));
+    JobSpec::Circuit(CircuitJob {
+        backend: BackendChoice::Fixed(Backend::Peps { evolution_bond: 1 << 16, method }),
         seed,
-        ..AmplitudeJob::new(2, 2, method)
+        ..CircuitJob::new(
+            Circuit::from_lattice_circuit(&lattice, 2, 2).expect("lattice circuit converts"),
+            vec![vec![0, 0, 0, 0], vec![0, 1, 1, 0]],
+        )
     })
 }
 
@@ -76,9 +82,9 @@ fn circuit_job(theta: f64, seed: u64) -> JobSpec {
 }
 
 /// The ten-job mixed-tenant batch: two same-signature ITE jobs for `alpha`,
-/// two VQE backends plus an odd-shaped ITE for `beta`, three amplitude jobs
-/// (two sharing a signature) for `gamma`, and two same-signature gate-list
-/// circuit jobs for `delta`.
+/// two VQE backends plus an odd-shaped ITE for `beta`, three PEPS random-
+/// circuit jobs (two sharing a signature) for `gamma`, and two
+/// same-signature MPS gate-list circuit jobs for `delta`.
 fn batch() -> Vec<(&'static str, JobSpec)> {
     vec![
         ("alpha", ite_a(-1.0)),
@@ -86,9 +92,9 @@ fn batch() -> Vec<(&'static str, JobSpec)> {
         ("beta", vqe(VqeBackend::StateVector, 11)),
         ("beta", vqe(VqeBackend::Peps { bond: 1, contraction_bond: 2 }, 11)),
         ("beta", ite_b()),
-        ("gamma", amp(ContractionMethod::bmps(8), 21)),
-        ("gamma", amp(ContractionMethod::bmps(8), 22)),
-        ("gamma", amp(ContractionMethod::ibmps(8), 21)),
+        ("gamma", rqc(ContractionMethod::bmps(8), 21)),
+        ("gamma", rqc(ContractionMethod::bmps(8), 22)),
+        ("gamma", rqc(ContractionMethod::ibmps(8), 21)),
         ("delta", circuit_job(0.35, 31)),
         ("delta", circuit_job(-0.8, 31)),
     ]
@@ -117,14 +123,6 @@ fn assert_bits_equal(batched: &JobResult, solo: &JobResult, label: &str) {
             for (x, y) in a.best_params.iter().zip(b.best_params.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{label}: best params");
             }
-        }
-        (JobResult::Amplitudes(a), JobResult::Amplitudes(b)) => {
-            assert_eq!(a.amplitudes.len(), b.amplitudes.len(), "{label}");
-            for (x, y) in a.amplitudes.iter().zip(b.amplitudes.iter()) {
-                assert_eq!(x.re.to_bits(), y.re.to_bits(), "{label}: amplitude re");
-                assert_eq!(x.im.to_bits(), y.im.to_bits(), "{label}: amplitude im");
-            }
-            assert_eq!(a.max_bond, b.max_bond, "{label}");
         }
         (JobResult::Circuit(a), JobResult::Circuit(b)) => {
             assert_eq!(a.amplitudes.len(), b.amplitudes.len(), "{label}");
@@ -204,8 +202,8 @@ fn ten_concurrent_jobs_bill_exactly_and_match_solo_runs_bit_for_bit() {
     let mut warm = Server::new(ServerConfig::default());
     warm.submit("alpha", ite_a(-1.0)).expect("submit");
     warm.submit("alpha", ite_a(-0.9)).expect("submit");
-    warm.submit("gamma", amp(ContractionMethod::bmps(8), 21)).expect("submit");
-    warm.submit("gamma", amp(ContractionMethod::bmps(8), 22)).expect("submit");
+    warm.submit("gamma", rqc(ContractionMethod::bmps(8), 21)).expect("submit");
+    warm.submit("gamma", rqc(ContractionMethod::bmps(8), 22)).expect("submit");
     warm.submit("delta", circuit_job(0.35, 31)).expect("submit");
     warm.submit("delta", circuit_job(-0.8, 31)).expect("submit");
     reset_plan_stats();
