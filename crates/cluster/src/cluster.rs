@@ -84,11 +84,6 @@ impl Cluster {
         lock_ignore_poison(&self.faults).as_ref().map(|s| s.log().clone()).unwrap_or_default()
     }
 
-    /// Whether a fault plan is currently armed.
-    pub fn faults_armed(&self) -> bool {
-        lock_ignore_poison(&self.faults).is_some()
-    }
-
     /// Consult the armed plan (if any) about `site` on delivery `attempt`.
     /// Injections are tallied on the global
     /// [`koala_error::recovery`] counters as well as the local log.

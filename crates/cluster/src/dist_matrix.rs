@@ -898,62 +898,7 @@ impl DistMatrix {
             })
             .collect();
 
-        // Fault injection replays a planned event sequence whose decisions
-        // depend on global call order, so an armed fault plan pins the serial
-        // schedule; otherwise a single-threaded pool makes the DAG pure
-        // overhead. Both schedules produce bit-identical blocks and the same
-        // `CommStats`: the round helpers below are shared verbatim, per-rank
-        // accumulation order is fixed by dependency edges, and per-round
-        // costs are pushed to the ledger in round order either way.
-        let pool = koala_exec::pool();
-        if pool.threads() == 1 || self.cluster.faults_armed() {
-            for (t, panel) in panels.iter().enumerate() {
-                let (a_panels, b_panels, comm_elems, messages) =
-                    self.summa_c_round_comm(opa, opb, other, t, *panel, &out_rows, &out_cols)?;
-                let mut round = RoundCost {
-                    comm_elems,
-                    messages,
-                    rank_cmacs: vec![0; nranks],
-                    rank_rmacs: vec![0; nranks],
-                };
-                for r in 0..p {
-                    for c in 0..q {
-                        let rank = grid.rank_of(r, c);
-                        let (m_loc, n_loc) = out_blocks[rank].shape();
-                        if m_loc == 0 || n_loc == 0 {
-                            continue;
-                        }
-                        let (macs, real) = self.summa_c_rank_update(
-                            opa,
-                            opb,
-                            t,
-                            *panel,
-                            rank,
-                            &a_panels[r],
-                            &b_panels[c],
-                            &mut out_blocks[rank],
-                        );
-                        if real {
-                            round.rank_rmacs[rank] += macs;
-                        } else {
-                            round.rank_cmacs[rank] += macs;
-                        }
-                    }
-                }
-                self.cluster.record_round(round);
-            }
-        } else {
-            self.summa_c_rounds_dag(
-                &pool,
-                opa,
-                opb,
-                other,
-                &panels,
-                &out_rows,
-                &out_cols,
-                &mut out_blocks,
-            )?;
-        }
+        self.summa_c_rounds_dag(opa, opb, other, &panels, &out_rows, &out_cols, &mut out_blocks)?;
         if all_real {
             // The real kernel only ever wrote real parts into zeroed blocks.
             for b in &mut out_blocks {
@@ -973,10 +918,12 @@ impl DistMatrix {
     /// each grid row and the B panel for each grid column (resident
     /// broadcast when the op is `None`, assembled raw depth slice
     /// otherwise), bill the broadcasts and Huang–Abraham checksums, and run
-    /// the checksummed deliveries. Returns the panels plus the round's
-    /// fault-free payload volume and message count for the
-    /// [`RoundCost`] ledger. Shared verbatim by the serial round loop and
-    /// the task-graph schedule so both bill the `CommStats` identically.
+    /// the checksummed deliveries. Then query the round's planned rank
+    /// failures, in `(r, c)` order over ranks with a non-empty output
+    /// block: a struck rank has lost the round's panels and re-fetches both
+    /// (plus their checksum vectors) before redoing its accumulation.
+    /// Returns the panels plus the round's fault-free payload volume and
+    /// message count for the [`RoundCost`] ledger.
     #[allow(clippy::too_many_arguments)]
     fn summa_c_round_comm(
         &self,
@@ -1096,20 +1043,32 @@ impl DistMatrix {
                 })?;
             }
         }
+        for (r, ap) in a_panels.iter().enumerate() {
+            for (c, bp) in b_panels.iter().enumerate() {
+                if out_rows.local_len(r) == 0 || out_cols.local_len(c) == 0 {
+                    continue;
+                }
+                let site = FaultSite::SummaCompute { round: t, rank: grid.rank_of(r, c) };
+                if self.cluster.fault_decision(site, 0).is_some() {
+                    let refetch =
+                        ap.nrows() * ap.ncols() + bp.nrows() * bp.ncols() + ap.ncols() + bp.nrows();
+                    self.cluster.record_retry(refetch);
+                    koala_error::recovery::note_summa_round_retry();
+                }
+            }
+        }
         Ok((a_panels, b_panels, comm_elems, messages))
     }
 
     /// One rank's local rank-`kb` update for one stationary-C round through
     /// the packed GEMM, with the ops fused into the packing step. Bills the
-    /// rank's MACs (and any planned compute-fault refetch) to the cluster
-    /// and returns `(macs, real)` for the caller's [`RoundCost`]. Shared by
-    /// the serial loop and the task-graph schedule.
+    /// rank's MACs to the cluster and returns `(macs, real)` for the
+    /// caller's [`RoundCost`].
     #[allow(clippy::too_many_arguments)]
     fn summa_c_rank_update(
         &self,
         opa: Op,
         opb: Op,
-        t: usize,
         panel: Panel,
         rank: usize,
         ap: &Matrix,
@@ -1117,15 +1076,6 @@ impl DistMatrix {
         out: &mut Matrix,
     ) -> (u64, bool) {
         let (m_loc, n_loc) = out.shape();
-        // A planned rank failure strikes here: the restarted rank has lost
-        // the round's panels and re-fetches both (plus their checksum
-        // vectors) before redoing its accumulation.
-        if self.cluster.fault_decision(FaultSite::SummaCompute { round: t, rank }, 0).is_some() {
-            let refetch =
-                ap.nrows() * ap.ncols() + bp.nrows() * bp.ncols() + ap.ncols() + bp.nrows();
-            self.cluster.record_retry(refetch);
-            koala_error::recovery::note_summa_round_retry();
-        }
         let real = ap.is_real() && bp.is_real();
         let macs = (m_loc * n_loc * panel.len) as u64;
         self.cluster.record_macs(rank, macs, real);
@@ -1137,23 +1087,22 @@ impl DistMatrix {
         (macs, real)
     }
 
-    /// Overlapped stationary-C schedule on the task-graph executor: one
+    /// Stationary-C rounds on the task-graph executor: one
     /// [`TaskKind::Comm`] task per round, chained `t -> t + 1` so every
-    /// `CommStats` billing call runs in the exact serial order, and one
-    /// [`TaskKind::Gemm`] task per `(round, rank)` depending on its round's
-    /// comm task and the same rank's previous update. The per-rank chain
-    /// fixes the depth-panel accumulation order, so output blocks are
-    /// bit-identical to the serial loop at any thread count; what the
-    /// executor buys is round `t + 1`'s panel broadcasts running while round
-    /// `t`'s local GEMMs are still in flight — the same overlap
-    /// [`crate::CostModel::modelled_time_overlap`] prices. Per-round costs
-    /// land in atomic slots and are appended to the ledger in round order
-    /// afterwards, so [`crate::CommStats::rounds`] is identical to a
-    /// serialized run's.
+    /// `CommStats` billing call and every fault query runs in the same order
+    /// at any thread count, and one [`TaskKind::Gemm`] task per
+    /// `(round, rank)` depending on its round's comm task and the same
+    /// rank's previous update. The per-rank chain fixes the depth-panel
+    /// accumulation order, so output blocks are bit-identical at any thread
+    /// count; what the executor buys is round `t + 1`'s panel broadcasts
+    /// running while round `t`'s local GEMMs are still in flight — the same
+    /// overlap [`crate::CostModel::modelled_time_overlap`] prices. Per-round
+    /// costs land in atomic slots and are appended to the ledger in round
+    /// order afterwards, so [`crate::CommStats::rounds`] does not depend on
+    /// the schedule either.
     #[allow(clippy::too_many_arguments)]
     fn summa_c_rounds_dag(
         &self,
-        pool: &koala_exec::Pool,
         opa: Op,
         opb: Op,
         other: &DistMatrix,
@@ -1240,7 +1189,6 @@ impl DistMatrix {
                         let (macs, real) = self.summa_c_rank_update(
                             opa,
                             opb,
-                            t,
                             panel,
                             rank,
                             &a_panels[r],
@@ -1255,7 +1203,7 @@ impl DistMatrix {
                 }
             }
         }
-        graph.run_on(pool)?;
+        graph.run()?;
         for slot in &slots {
             self.cluster.record_round(RoundCost {
                 comm_elems: slot.comm_elems.load(Ordering::Relaxed),

@@ -12,7 +12,10 @@
 //! Determinism is the point: the decision at the `i`-th queried site is a
 //! pure function of `(seed, i)` (a splitmix64 hash, no global RNG), so two
 //! runs of the same workload with the same plan see byte-identical fault
-//! sequences — which is what makes recovery testable. Probabilistic faults
+//! sequences — which is what makes recovery testable. SUMMA makes all its
+//! queries from its per-round communication tasks, which are chained round
+//! after round, so the query order is the same at every executor thread
+//! count. Probabilistic faults
 //! are *transient* by default: a retry of the same transfer succeeds, unless
 //! the plan is marked [`FaultPlan::persistent`] (used to test bounded-retry
 //! exhaustion).

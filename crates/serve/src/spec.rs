@@ -316,23 +316,74 @@ impl JobSpec {
     /// rejects invalid specs with [`ErrorKind::InvalidArgument`] before they
     /// reach the queue.
     ///
-    /// Seeds must lie below 2^53, the integers the `f64` wire form carries
-    /// exactly, so every accepted spec round-trips through
+    /// Every integer field must lie below 2^53, the integers the `f64` wire
+    /// form carries exactly, so every accepted spec round-trips through
     /// [`JobSpec::to_json`] and [`JobSpec::from_json`] unchanged.
     pub fn validate(&self) -> Result<()> {
-        let seed = match self {
-            JobSpec::Ite(j) => j.seed,
-            JobSpec::Vqe(j) => j.seed,
-            JobSpec::Circuit(j) => j.seed,
-        };
-        if seed >= WIRE_INT_LIMIT {
-            return Err(invalid(format!("seed {seed} is not below 2^53")));
+        for (field, n) in self.wire_ints() {
+            if n >= WIRE_INT_LIMIT {
+                return Err(invalid(format!("field '{field}' is {n}, not below 2^53")));
+            }
         }
         match self {
             JobSpec::Ite(j) => j.validate(),
             JobSpec::Vqe(j) => j.validate(),
             JobSpec::Circuit(j) => j.validate(),
         }
+    }
+
+    /// The integer fields [`JobSpec::to_json`] writes whose size no other
+    /// check bounds: lattice dimensions, qubit counts and bits are capped
+    /// far below 2^53 by [`JobSpec::validate`] itself.
+    fn wire_ints(&self) -> Vec<(&'static str, u64)> {
+        let mut ints = match self {
+            JobSpec::Ite(j) => vec![
+                ("steps", j.steps),
+                ("evolution_bond", j.evolution_bond),
+                ("contraction_bond", j.contraction_bond),
+                ("measure_every", j.measure_every),
+            ],
+            JobSpec::Vqe(j) => {
+                let mut ints = vec![("layers", j.layers)];
+                if let VqeBackend::Peps { bond, contraction_bond } = j.backend {
+                    ints.extend([("bond", bond), ("contraction_bond", contraction_bond)]);
+                }
+                ints.push(match j.optimizer {
+                    Optimizer::NelderMead { max_iterations, .. } => {
+                        ("max_iterations", max_iterations)
+                    }
+                    Optimizer::Spsa { iterations, .. } => ("iterations", iterations),
+                });
+                ints
+            }
+            JobSpec::Circuit(j) => match j.backend {
+                BackendChoice::Auto | BackendChoice::Fixed(Backend::Statevector) => Vec::new(),
+                BackendChoice::Fixed(Backend::Mps { max_bond }) => vec![("max_bond", max_bond)],
+                BackendChoice::Fixed(Backend::Peps { evolution_bond, method }) => {
+                    let mut ints = vec![("evolution_bond", evolution_bond)];
+                    match method {
+                        ContractionMethod::Exact => {}
+                        ContractionMethod::Bmps { max_bond } => ints.push(("max_bond", max_bond)),
+                        ContractionMethod::Ibmps { max_bond, n_iter, oversample } => ints.extend([
+                            ("max_bond", max_bond),
+                            ("n_iter", n_iter),
+                            ("oversample", oversample),
+                        ]),
+                    }
+                    ints
+                }
+            },
+        }
+        .into_iter()
+        .map(|(field, n)| (field, n as u64))
+        .collect::<Vec<_>>();
+        let seed = match self {
+            JobSpec::Ite(j) => j.seed,
+            JobSpec::Vqe(j) => j.seed,
+            JobSpec::Circuit(j) => j.seed,
+        };
+        ints.push(("seed", seed));
+        ints
     }
 
     /// Workload-signature key: jobs sharing a signature run the same einsum
@@ -974,18 +1025,70 @@ mod tests {
         assert_eq!(kind, ErrorKind::InvalidArgument);
     }
 
-    #[test]
-    fn validate_rejects_seeds_the_wire_cannot_carry_exactly() {
-        let circuit = CircuitJob::new(wire_test_circuit(), vec![vec![0; 4]]);
+    /// One spec per integer field [`JobSpec::validate`] bounds by the wire,
+    /// with that field set to `n`.
+    fn specs_with_wire_int(n: usize) -> Vec<JobSpec> {
+        let seed = n as u64;
+        let ite = IteJob::new(2, 2, 1);
         let vqe = VqeJob::new(2, 2, VqeBackend::StateVector);
-        for seed in [WIRE_INT_LIMIT, u64::MAX] {
-            for spec in [
-                JobSpec::Ite(IteJob { seed, ..IteJob::new(2, 2, 1) }),
-                JobSpec::Vqe(VqeJob { seed, ..vqe.clone() }),
-                JobSpec::Circuit(CircuitJob { seed, ..circuit.clone() }),
-            ] {
-                assert_eq!(spec.validate().unwrap_err().kind(), ErrorKind::InvalidArgument);
+        let nelder_mead = |max_iterations| Optimizer::NelderMead { scale: 0.4, max_iterations };
+        let circuit = CircuitJob::new(wire_test_circuit(), vec![vec![0; 4]]);
+        let peps = |evolution_bond, method| {
+            let backend = BackendChoice::Fixed(Backend::Peps { evolution_bond, method });
+            JobSpec::Circuit(CircuitJob { backend, ..circuit.clone() })
+        };
+        let ibmps = |max_bond, n_iter, oversample| ContractionMethod::Ibmps {
+            max_bond,
+            n_iter,
+            oversample,
+        };
+        vec![
+            JobSpec::Ite(IteJob { seed, ..ite.clone() }),
+            JobSpec::Ite(IteJob { steps: n, ..ite.clone() }),
+            JobSpec::Ite(IteJob { evolution_bond: n, ..ite.clone() }),
+            JobSpec::Ite(IteJob { contraction_bond: n, ..ite.clone() }),
+            JobSpec::Ite(IteJob { measure_every: n, ..ite }),
+            JobSpec::Vqe(VqeJob { seed, ..vqe.clone() }),
+            JobSpec::Vqe(VqeJob { layers: n, ..vqe.clone() }),
+            JobSpec::Vqe(VqeJob {
+                backend: VqeBackend::Peps { bond: n, contraction_bond: 2 },
+                ..vqe.clone()
+            }),
+            JobSpec::Vqe(VqeJob {
+                backend: VqeBackend::Peps { bond: 2, contraction_bond: n },
+                ..vqe.clone()
+            }),
+            JobSpec::Vqe(VqeJob { optimizer: nelder_mead(n), ..vqe.clone() }),
+            JobSpec::Vqe(VqeJob {
+                optimizer: Optimizer::Spsa { a0: 0.3, c0: 0.2, iterations: n },
+                ..vqe
+            }),
+            JobSpec::Circuit(CircuitJob { seed, ..circuit.clone() }),
+            JobSpec::Circuit(CircuitJob {
+                backend: BackendChoice::Fixed(Backend::Mps { max_bond: n }),
+                ..circuit.clone()
+            }),
+            peps(n, ContractionMethod::Exact),
+            peps(2, ContractionMethod::bmps(n)),
+            peps(2, ibmps(n, 2, 10)),
+            peps(2, ibmps(4, n, 10)),
+            peps(2, ibmps(4, 2, n)),
+        ]
+    }
+
+    #[test]
+    fn validate_rejects_integers_the_wire_cannot_carry_exactly() {
+        for n in [WIRE_INT_LIMIT as usize, WIRE_INT_LIMIT as usize + 1, usize::MAX] {
+            for spec in specs_with_wire_int(n) {
+                let err = spec.validate().expect_err(&format!("{n} must be rejected: {spec:?}"));
+                assert_eq!(err.kind(), ErrorKind::InvalidArgument);
             }
+        }
+        // The largest accepted value survives the wire unchanged.
+        for spec in specs_with_wire_int(WIRE_INT_LIMIT as usize - 1) {
+            spec.validate().expect("2^53 - 1 is carried exactly");
+            let parsed = JsonValue::parse(&spec.to_json().pretty()).expect("emitted JSON parses");
+            assert_eq!(JobSpec::from_json(&parsed).expect("roundtrip"), spec);
         }
     }
 
