@@ -43,6 +43,27 @@ proptest! {
         let f = qr(&a);
         prop_assert!(f.q.has_orthonormal_cols(1e-9));
         prop_assert!(matmul(&f.q, &f.r).approx_eq(&a, 1e-9));
+
+        // Rank-deficient products B C of every rank, real-hinted and complex:
+        // the numerically zero columns are filled in with canonical seeds,
+        // and Q must stay orthonormal even when no seed clears the 0.5 cut.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for rank in 0..=m.min(n) {
+            for real in [false, true] {
+                let (b, c) = if real {
+                    (Matrix::random_real(m, rank, &mut rng), Matrix::random_real(rank, n, &mut rng))
+                } else {
+                    (Matrix::random(m, rank, &mut rng), Matrix::random(rank, n, &mut rng))
+                };
+                let a = matmul(&b, &c);
+                let f = qr(&a);
+                prop_assert!(
+                    f.q.has_orthonormal_cols(1e-9),
+                    "{m}x{n} rank {rank} (real: {real}): Q not orthonormal"
+                );
+                prop_assert!(matmul(&f.q, &f.r).approx_eq(&a, 1e-9));
+            }
+        }
     }
 
     #[test]
